@@ -68,12 +68,11 @@ int main() {
   const auto executed = sys.cloud_server().compute(user.key().q_id, task);
   const double seccloud_commit_ms = ms_since(commit_start);
 
-  g.reset_counters();
   auto audit_start = std::chrono::steady_clock::now();
   const auto report = sys.agency().audit(user, sys.cloud_server(), executed.task_id, task,
                                          executed.commitment, 15, 1);
   const double seccloud_audit_ms = ms_since(audit_start);
-  const auto ops = g.counters();
+  const auto& ops = report.ops;  // the DA's verification only
 
   std::printf("%-34s %14s %14s\n", "", "CBS [7]", "SecCloud");
   std::printf("%-34s %14.2f %14.2f\n", "commit time (ms)", cbs_commit_ms, seccloud_commit_ms);

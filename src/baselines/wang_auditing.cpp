@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "bigint/modular.h"
 #include "hash/hash_to.h"
 #include "seccloud/auditor.h"
 

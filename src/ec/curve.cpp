@@ -1,94 +1,84 @@
-#include "ec/curve.h"
+#include "ec/jacobian.h"
 
 #include <algorithm>
 #include <array>
 #include <stdexcept>
 
 namespace seccloud::ec {
+namespace fe {
+
+Affine import(const PrimeField& fp, const Point& pt) {
+  if (pt.infinity) return {Fe{}, Fe{}, true};
+  const MontCtx& m = fp.mont();
+  return {m.to_mont(fp.to_fe(pt.x)), m.to_mont(fp.to_fe(pt.y)), false};
+}
+
+Jacobian dbl(const MontCtx& m, const Fe& a, const Jacobian& t, DblTerms* terms) {
+  if (m.is_zero(t.z) || m.is_zero(t.y)) return infinity(m);
+  const Fe y2 = m.mont_sqr(t.y);
+  const Fe s = m.mul_word(m.mont_mul(t.x, y2), 4);                // S = 4XY^2
+  const Fe z2 = m.mont_sqr(t.z);
+  const Fe z4 = m.mont_sqr(z2);
+  // Both pinned curves are y^2 = x^3 + x, so a·Z^4 degenerates to Z^4;
+  // an eight-limb compare is free next to the 8×8 multiply it avoids.
+  const Fe az4 = (a == m.one_mont()) ? z4 : m.mont_mul(a, z4);
+  const Fe mm = m.add(m.mul_word(m.mont_sqr(t.x), 3), az4);       // M = 3X^2 + aZ^4
+  const Fe x3 = m.sub(m.mont_sqr(mm), m.add(s, s));
+  const Fe y3 = m.sub(m.mont_mul(mm, m.sub(s, x3)), m.mul_word(m.mont_sqr(y2), 8));
+  const Fe z3 = m.mul_word(m.mont_mul(t.y, t.z), 2);
+  if (terms != nullptr) *terms = {y2, mm, z2};
+  return {x3, y3, z3};
+}
+
+Jacobian add_mixed(const MontCtx& m, const Fe& a, const Jacobian& t, const Affine& p,
+                   AddTerms* terms) {
+  if (p.inf) return t;
+  if (m.is_zero(t.z)) return {p.x, p.y, m.one_mont()};
+  const Fe z1_sq = m.mont_sqr(t.z);
+  const Fe u2 = m.mont_mul(p.x, z1_sq);
+  const Fe s2 = m.mont_mul(p.y, m.mont_mul(z1_sq, t.z));
+  const Fe h = m.sub(u2, t.x);
+  const Fe r = m.sub(s2, t.y);
+  if (m.is_zero(h)) {
+    if (!m.is_zero(r)) return infinity(m);  // T = −P ⇒ T + P = O
+    if (terms != nullptr) terms->doubled = true;
+    return dbl(m, a, t, terms != nullptr ? &terms->dbl : nullptr);
+  }
+  const Fe h2 = m.mont_sqr(h);
+  const Fe h3 = m.mont_mul(h2, h);
+  const Fe x1h2 = m.mont_mul(t.x, h2);
+  const Fe x3 = m.sub(m.sub(m.mont_sqr(r), h3), m.add(x1h2, x1h2));
+  const Fe y3 = m.sub(m.mont_mul(r, m.sub(x1h2, x3)), m.mont_mul(t.y, h3));
+  const Fe z3 = m.mont_mul(t.z, h);
+  if (terms != nullptr) terms->r = r;
+  return {x3, y3, z3};
+}
+
+
+}  // namespace fe
+
 namespace {
 
+using fe::Affine;
+using fe::Jacobian;
 using field::fixed::Fe;
 using field::fixed::MontCtx;
 
-// Montgomery-domain mirrors of the affine/Jacobian types. Coordinates are
-// fixed::Fe values in the Montgomery domain; all formulas below follow the
-// BigUint implementations term for term, so canonical results are
-// bit-identical between the two backends.
-struct FeAff {
-  Fe x;
-  Fe y;
-  bool inf = false;
-};
-
-struct FeJac {
-  Fe x;
-  Fe y;
-  Fe z;  // z == 0 ⇒ infinity
-};
-
-FeJac fe_jac_infinity(const MontCtx& m) { return {m.one_mont(), m.one_mont(), Fe{}}; }
-
-FeAff fe_import(const MontCtx& m, const Point& pt) {
-  if (pt.infinity) return {Fe{}, Fe{}, true};
-  return {m.to_mont(m.load(pt.x)), m.to_mont(m.load(pt.y)), false};
-}
-
-Point fe_export(const MontCtx& m, const FeAff& pt) {
+Point to_point(const MontCtx& m, const Affine& pt) {
   if (pt.inf) return Point::at_infinity();
   return Point::affine(m.to_biguint(m.from_mont(pt.x)), m.to_biguint(m.from_mont(pt.y)));
 }
 
-FeAff fe_neg(const MontCtx& m, const FeAff& pt) {
-  if (pt.inf) return pt;
-  return {pt.x, m.neg(pt.y), false};
-}
-
-FeJac fe_jac_dbl(const MontCtx& m, const Fe& a_mont, const FeJac& pt) {
-  if (m.is_zero(pt.z) || m.is_zero(pt.y)) return fe_jac_infinity(m);
-  const Fe y2 = m.mont_sqr(pt.y);
-  const Fe s = m.mul_word(m.mont_mul(pt.x, y2), 4);                // S = 4XY^2
-  const Fe z2 = m.mont_sqr(pt.z);
-  const Fe z4 = m.mont_sqr(z2);
-  // Both pinned curves are y^2 = x^3 + x, so a·Z^4 degenerates to Z^4;
-  // an eight-limb compare is free next to the 8×8 multiply it avoids.
-  const Fe az4 = (a_mont == m.one_mont()) ? z4 : m.mont_mul(a_mont, z4);
-  const Fe mm = m.add(m.mul_word(m.mont_sqr(pt.x), 3), az4);       // M = 3X^2 + aZ^4
-  const Fe x3 = m.sub(m.mont_sqr(mm), m.add(s, s));
-  const Fe y3 = m.sub(m.mont_mul(mm, m.sub(s, x3)), m.mul_word(m.mont_sqr(y2), 8));
-  const Fe z3 = m.mul_word(m.mont_mul(pt.y, pt.z), 2);
-  return {x3, y3, z3};
-}
-
-FeJac fe_jac_add_mixed(const MontCtx& m, const Fe& a_mont, const FeJac& lhs, const FeAff& rhs) {
-  if (rhs.inf) return lhs;
-  if (m.is_zero(lhs.z)) return {rhs.x, rhs.y, m.one_mont()};
-  const Fe z1_sq = m.mont_sqr(lhs.z);
-  const Fe u2 = m.mont_mul(rhs.x, z1_sq);
-  const Fe s2 = m.mont_mul(rhs.y, m.mont_mul(z1_sq, lhs.z));
-  const Fe h = m.sub(u2, lhs.x);
-  const Fe r = m.sub(s2, lhs.y);
-  if (m.is_zero(h)) {
-    if (m.is_zero(r)) return fe_jac_dbl(m, a_mont, lhs);
-    return fe_jac_infinity(m);  // P + (−P) = O
-  }
-  const Fe h2 = m.mont_sqr(h);
-  const Fe h3 = m.mont_mul(h2, h);
-  const Fe x1h2 = m.mont_mul(lhs.x, h2);
-  const Fe x3 = m.sub(m.sub(m.mont_sqr(r), h3), m.add(x1h2, x1h2));
-  const Fe y3 = m.sub(m.mont_mul(r, m.sub(x1h2, x3)), m.mont_mul(lhs.y, h3));
-  const Fe z3 = m.mont_mul(lhs.z, h);
-  return {x3, y3, z3};
-}
-
-FeAff fe_to_affine(const MontCtx& m, const FeJac& pt) {
-  if (m.is_zero(pt.z)) return {Fe{}, Fe{}, true};
-  const auto z_inv = m.inv_mont(pt.z);
-  if (!z_inv) throw std::domain_error("fe_to_affine: non-invertible z");
+Affine to_affine(const MontCtx& m, const Jacobian& t) {
+  if (m.is_zero(t.z)) return {Fe{}, Fe{}, true};
+  const auto z_inv = m.inv_mont(t.z);
+  if (!z_inv) throw std::domain_error("to_affine: non-invertible z");
   const Fe z2_inv = m.mont_sqr(*z_inv);
-  return {m.mont_mul(pt.x, z2_inv), m.mont_mul(pt.y, m.mont_mul(z2_inv, *z_inv)), false};
+  return {m.mont_mul(t.x, z2_inv), m.mont_mul(t.y, m.mont_mul(z2_inv, *z_inv)), false};
 }
 
-std::vector<FeAff> fe_to_affine_batch(const MontCtx& m, std::span<const FeJac> points) {
+/// Converts finite Jacobian points to affine with one shared inversion.
+std::vector<Affine> to_affine_batch(const MontCtx& m, std::span<const Jacobian> points) {
   std::vector<Fe> zs;
   zs.reserve(points.size());
   for (const auto& pt : points) {
@@ -96,7 +86,7 @@ std::vector<FeAff> fe_to_affine_batch(const MontCtx& m, std::span<const FeJac> p
     zs.push_back(pt.z);
   }
   const std::vector<Fe> z_invs = m.inv_batch_mont(zs);
-  std::vector<FeAff> out;
+  std::vector<Affine> out;
   out.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Fe z2_inv = m.mont_sqr(z_invs[i]);
@@ -106,8 +96,18 @@ std::vector<FeAff> fe_to_affine_batch(const MontCtx& m, std::span<const FeJac> p
   return out;
 }
 
-// Width-4 signed-window recoding, least-significant digit first. Shared by
-// both scalar-multiplication backends so they walk identical schedules.
+/// Plain double-and-add over the bits of k.
+Jacobian double_and_add(const MontCtx& m, const Fe& a, const BigUint& k, const Affine& p) {
+  Jacobian acc = fe::infinity(m);
+  for (std::size_t i = k.bit_length(); i-- > 0;) {
+    acc = fe::dbl(m, a, acc);
+    if (k.bit(i)) acc = fe::add_mixed(m, a, acc, p);
+  }
+  return acc;
+}
+
+// Width-4 signed-window recoding, least-significant digit first: each entry
+// is odd in (−2^{w−1}, 2^{w−1}) or zero.
 std::vector<int> wnaf4_digits(const BigUint& k) {
   constexpr int kWidth = 4;
   constexpr std::uint64_t kWindow = 1u << kWidth;     // 16
@@ -143,7 +143,8 @@ Curve::Curve(const PrimeField& fld, BigUint a, BigUint b, BigUint order, BigUint
       a_(std::move(a)),
       b_(std::move(b)),
       order_(std::move(order)),
-      cofactor_(std::move(cofactor)) {}
+      cofactor_(std::move(cofactor)),
+      a_mont_(fld.mont().to_mont(fld.to_fe(a_))) {}
 
 bool Curve::is_on_curve(const Point& pt) const {
   if (pt.infinity) return true;
@@ -158,241 +159,86 @@ Point Curve::neg(const Point& pt) const {
   return Point::affine(pt.x, field_->neg(pt.y));
 }
 
-Curve::Jacobian Curve::to_jacobian(const Point& pt) const {
-  if (pt.infinity) return {BigUint{1}, BigUint{1}, BigUint{}};
-  return {pt.x, pt.y, BigUint{1}};
-}
-
-Point Curve::to_affine(const Jacobian& pt) const {
-  if (pt.z.is_zero()) return Point::at_infinity();
-  const auto& f = *field_;
-  const BigUint z_inv = *f.inv(pt.z);
-  const BigUint z2_inv = f.sqr(z_inv);
-  return Point::affine(f.mul(pt.x, z2_inv), f.mul(pt.y, f.mul(z2_inv, z_inv)));
-}
-
-Curve::Jacobian Curve::jac_dbl(const Jacobian& pt) const {
-  const auto& f = *field_;
-  if (pt.z.is_zero() || pt.y.is_zero()) return {BigUint{1}, BigUint{1}, BigUint{}};
-  const BigUint y2 = f.sqr(pt.y);
-  const BigUint s = f.mul_small(f.mul(pt.x, y2), 4);             // S = 4XY^2
-  const BigUint z2 = f.sqr(pt.z);
-  const BigUint m = f.add(f.mul_small(f.sqr(pt.x), 3),           // M = 3X^2 + aZ^4
-                          f.mul(a_, f.sqr(z2)));
-  const BigUint x3 = f.sub(f.sqr(m), f.add(s, s));
-  const BigUint y3 = f.sub(f.mul(m, f.sub(s, x3)), f.mul_small(f.sqr(y2), 8));
-  const BigUint z3 = f.mul_small(f.mul(pt.y, pt.z), 2);
-  return {x3, y3, z3};
-}
-
-Curve::Jacobian Curve::jac_add_mixed(const Jacobian& lhs, const Point& rhs) const {
-  const auto& f = *field_;
-  if (rhs.infinity) return lhs;
-  if (lhs.z.is_zero()) return {rhs.x, rhs.y, BigUint{1}};
-  const BigUint z1_sq = f.sqr(lhs.z);
-  const BigUint u2 = f.mul(rhs.x, z1_sq);
-  const BigUint s2 = f.mul(rhs.y, f.mul(z1_sq, lhs.z));
-  const BigUint h = f.sub(u2, lhs.x);
-  const BigUint r = f.sub(s2, lhs.y);
-  if (h.is_zero()) {
-    if (r.is_zero()) return jac_dbl(lhs);
-    return {BigUint{1}, BigUint{1}, BigUint{}};  // P + (−P) = O
-  }
-  const BigUint h2 = f.sqr(h);
-  const BigUint h3 = f.mul(h2, h);
-  const BigUint x1h2 = f.mul(lhs.x, h2);
-  const BigUint x3 = f.sub(f.sub(f.sqr(r), h3), f.add(x1h2, x1h2));
-  const BigUint y3 = f.sub(f.mul(r, f.sub(x1h2, x3)), f.mul(lhs.y, h3));
-  const BigUint z3 = f.mul(lhs.z, h);
-  return {x3, y3, z3};
-}
-
-Curve::Jacobian Curve::jac_add(const Jacobian& lhs, const Jacobian& rhs) const {
-  if (rhs.z.is_zero()) return lhs;
-  if (lhs.z.is_zero()) return rhs;
-  // Rare path (multi_mul only): convert rhs to affine and reuse mixed add.
-  return jac_add_mixed(lhs, to_affine(rhs));
-}
-
 Point Curve::add(const Point& lhs, const Point& rhs) const {
   if (lhs.infinity) return rhs;
-  return to_affine(jac_add_mixed(to_jacobian(lhs), rhs));
+  if (rhs.infinity) return lhs;
+  const MontCtx& m = field_->mont();
+  const Affine p = fe::import(*field_, lhs);
+  const Jacobian sum = fe::add_mixed(m, a_mont_, {p.x, p.y, m.one_mont()},
+                                     fe::import(*field_, rhs));
+  return to_point(m, to_affine(m, sum));
 }
 
-Point Curve::dbl(const Point& pt) const { return to_affine(jac_dbl(to_jacobian(pt))); }
-
-std::vector<Point> Curve::to_affine_batch(std::span<const Jacobian> points) const {
-  const auto& f = *field_;
-  std::vector<BigUint> zs;
-  zs.reserve(points.size());
-  for (const auto& pt : points) {
-    if (pt.z.is_zero()) throw std::domain_error("to_affine_batch: point at infinity");
-    zs.push_back(pt.z);
-  }
-  const std::vector<BigUint> z_invs = f.inv_batch(zs);
-  std::vector<Point> out;
-  out.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const BigUint z2_inv = f.sqr(z_invs[i]);
-    out.push_back(Point::affine(f.mul(points[i].x, z2_inv),
-                                f.mul(points[i].y, f.mul(z2_inv, z_invs[i]))));
-  }
-  return out;
+Point Curve::dbl(const Point& pt) const {
+  if (pt.infinity) return pt;
+  const MontCtx& m = field_->mont();
+  const Affine p = fe::import(*field_, pt);
+  return to_point(m, to_affine(m, fe::dbl(m, a_mont_, {p.x, p.y, m.one_mont()})));
 }
 
-Curve::Jacobian Curve::mul_wnaf(const BigUint& k, const Point& pt) const {
-  // Signed digits, least-significant first: each entry is odd in
-  // (−2^{w−1}, 2^{w−1}) or zero.
-  const std::vector<int> digits = wnaf4_digits(k);
-
-  // Precompute odd multiples 3P, 5P, 7P as 2kP + P — doublings and mixed
-  // adds only, so the affine 2P (a whole extra inversion) is never needed;
-  // one shared inversion converts the table for cheap mixed additions.
-  const Jacobian p_jac{pt.x, pt.y, BigUint{1}};
-  const Jacobian t2 = jac_dbl(p_jac);
-  std::array<Jacobian, 3> odd_jac{
-      jac_add_mixed(t2, pt),                     // 3P
-      jac_add_mixed(jac_dbl(t2), pt),            // 5P = 4P + P
-      Jacobian{}};
-  odd_jac[2] = jac_add_mixed(jac_dbl(odd_jac[0]), pt);  // 7P = 6P + P
-  // A base point of order 3, 5 or 7 collapses an odd multiple to O, which
-  // the batch conversion cannot represent: fall back to plain
-  // double-and-add, correct for every order.
-  if (odd_jac[0].z.is_zero() || odd_jac[1].z.is_zero() || odd_jac[2].z.is_zero()) {
-    Jacobian acc{BigUint{1}, BigUint{1}, BigUint{}};
-    for (std::size_t i = k.bit_length(); i-- > 0;) {
-      acc = jac_dbl(acc);
-      if (k.bit(i)) acc = jac_add_mixed(acc, pt);
-    }
-    return acc;
-  }
-  const std::vector<Point> odd = to_affine_batch(odd_jac);
-  const std::array<Point, 4> table{pt, odd[0], odd[1], odd[2]};
-
-  Jacobian acc{BigUint{1}, BigUint{1}, BigUint{}};
-  for (std::size_t i = digits.size(); i-- > 0;) {
-    acc = jac_dbl(acc);
-    const int digit = digits[i];
-    if (digit > 0) {
-      acc = jac_add_mixed(acc, table[static_cast<std::size_t>(digit) / 2]);
-    } else if (digit < 0) {
-      acc = jac_add_mixed(acc, neg(table[static_cast<std::size_t>(-digit) / 2]));
-    }
-  }
-  return acc;
-}
-
-Point Curve::mul_fixed(const BigUint& k, const Point& pt) const {
-  const MontCtx& m = *field_->fixed_core();
-  const Fe a_mont = m.to_mont(m.load(field_->reduce(a_)));
-  const FeAff p = fe_import(m, pt);
+Point Curve::mul(const BigUint& k, const Point& pt) const {
+  if (pt.infinity || k.is_zero()) return Point::at_infinity();
+  const MontCtx& m = field_->mont();
+  const Affine p = fe::import(*field_, pt);
   if (k.bit_length() <= 8) {
     // Tiny scalars: plain double-and-add beats table setup.
-    FeJac acc = fe_jac_infinity(m);
-    for (std::size_t i = k.bit_length(); i-- > 0;) {
-      acc = fe_jac_dbl(m, a_mont, acc);
-      if (k.bit(i)) acc = fe_jac_add_mixed(m, a_mont, acc, p);
-    }
-    return fe_export(m, fe_to_affine(m, acc));
+    return to_point(m, to_affine(m, double_and_add(m, a_mont_, k, p)));
   }
 
   const std::vector<int> digits = wnaf4_digits(k);
   // Odd multiples 3P, 5P, 7P as 2kP + P: doublings and mixed adds only, so
   // the affine 2P (a whole extra inversion, ~30 µs at 8 limbs) is never
   // needed; one shared inversion converts the table for mixed additions.
-  const FeJac p_jac{p.x, p.y, m.one_mont()};
-  const FeJac t2 = fe_jac_dbl(m, a_mont, p_jac);
-  std::array<FeJac, 3> odd_jac{
-      fe_jac_add_mixed(m, a_mont, t2, p),                     // 3P
-      fe_jac_add_mixed(m, a_mont, fe_jac_dbl(m, a_mont, t2), p),  // 5P = 4P + P
-      FeJac{}};
-  odd_jac[2] = fe_jac_add_mixed(m, a_mont, fe_jac_dbl(m, a_mont, odd_jac[0]), p);  // 7P
+  const Jacobian t2 = fe::dbl(m, a_mont_, {p.x, p.y, m.one_mont()});
+  std::array<Jacobian, 3> odd_jac{
+      fe::add_mixed(m, a_mont_, t2, p),                          // 3P
+      fe::add_mixed(m, a_mont_, fe::dbl(m, a_mont_, t2), p),     // 5P = 4P + P
+      Jacobian{}};
+  odd_jac[2] = fe::add_mixed(m, a_mont_, fe::dbl(m, a_mont_, odd_jac[0]), p);  // 7P
   // A base point of order 3, 5 or 7 collapses an odd multiple to O, which
   // the batch conversion cannot represent: fall back to plain
   // double-and-add, correct for every order.
   if (m.is_zero(odd_jac[0].z) || m.is_zero(odd_jac[1].z) || m.is_zero(odd_jac[2].z)) {
-    FeJac acc = fe_jac_infinity(m);
-    for (std::size_t i = k.bit_length(); i-- > 0;) {
-      acc = fe_jac_dbl(m, a_mont, acc);
-      if (k.bit(i)) acc = fe_jac_add_mixed(m, a_mont, acc, p);
-    }
-    return fe_export(m, fe_to_affine(m, acc));
+    return to_point(m, to_affine(m, double_and_add(m, a_mont_, k, p)));
   }
-  const std::vector<FeAff> odd = fe_to_affine_batch(m, odd_jac);
-  const std::array<FeAff, 4> table{p, odd[0], odd[1], odd[2]};
+  const std::vector<Affine> odd = to_affine_batch(m, odd_jac);
+  const std::array<Affine, 4> table{p, odd[0], odd[1], odd[2]};
 
-  FeJac acc = fe_jac_infinity(m);
+  Jacobian acc = fe::infinity(m);
   for (std::size_t i = digits.size(); i-- > 0;) {
-    acc = fe_jac_dbl(m, a_mont, acc);
+    acc = fe::dbl(m, a_mont_, acc);
     const int digit = digits[i];
     if (digit > 0) {
-      acc = fe_jac_add_mixed(m, a_mont, acc, table[static_cast<std::size_t>(digit) / 2]);
+      acc = fe::add_mixed(m, a_mont_, acc, table[static_cast<std::size_t>(digit) / 2]);
     } else if (digit < 0) {
-      acc = fe_jac_add_mixed(m, a_mont, acc,
-                             fe_neg(m, table[static_cast<std::size_t>(-digit) / 2]));
+      Affine neg = table[static_cast<std::size_t>(-digit) / 2];
+      neg.y = m.neg(neg.y);
+      acc = fe::add_mixed(m, a_mont_, acc, neg);
     }
   }
-  return fe_export(m, fe_to_affine(m, acc));
-}
-
-Point Curve::multi_mul_fixed(std::span<const BigUint> scalars,
-                             std::span<const Point> points) const {
-  const MontCtx& m = *field_->fixed_core();
-  const Fe a_mont = m.to_mont(m.load(field_->reduce(a_)));
-  std::vector<FeAff> pts;
-  pts.reserve(points.size());
-  for (const auto& pt : points) pts.push_back(fe_import(m, pt));
-
-  std::size_t max_bits = 0;
-  for (const auto& s : scalars) max_bits = std::max(max_bits, s.bit_length());
-  FeJac acc = fe_jac_infinity(m);
-  for (std::size_t i = max_bits; i-- > 0;) {
-    acc = fe_jac_dbl(m, a_mont, acc);
-    for (std::size_t j = 0; j < scalars.size(); ++j) {
-      if (scalars[j].bit(i)) acc = fe_jac_add_mixed(m, a_mont, acc, pts[j]);
-    }
-  }
-  return fe_export(m, fe_to_affine(m, acc));
-}
-
-Point Curve::mul(const BigUint& k, const Point& pt) const {
-  if (pt.infinity || k.is_zero()) return Point::at_infinity();
-  if (field_->has_fixed_core() && pt.x < field_->modulus() && pt.y < field_->modulus()) {
-    return mul_fixed(k, pt);
-  }
-  if (k.bit_length() <= 8) {
-    // Tiny scalars: plain double-and-add beats table setup.
-    Jacobian acc{BigUint{1}, BigUint{1}, BigUint{}};
-    for (std::size_t i = k.bit_length(); i-- > 0;) {
-      acc = jac_dbl(acc);
-      if (k.bit(i)) acc = jac_add_mixed(acc, pt);
-    }
-    return to_affine(acc);
-  }
-  return to_affine(mul_wnaf(k, pt));
+  return to_point(m, to_affine(m, acc));
 }
 
 Point Curve::multi_mul(std::span<const BigUint> scalars, std::span<const Point> points) const {
   if (scalars.size() != points.size()) {
     throw std::invalid_argument("Curve::multi_mul: size mismatch");
   }
-  if (field_->has_fixed_core() &&
-      std::ranges::all_of(points, [this](const Point& p) {
-        return p.infinity || (p.x < field_->modulus() && p.y < field_->modulus());
-      })) {
-    return multi_mul_fixed(scalars, points);
-  }
+  const MontCtx& m = field_->mont();
+  std::vector<Affine> pts;
+  pts.reserve(points.size());
+  for (const auto& pt : points) pts.push_back(fe::import(*field_, pt));
+
   // Interleaved double-and-add (shared doubling chain).
   std::size_t max_bits = 0;
   for (const auto& s : scalars) max_bits = std::max(max_bits, s.bit_length());
-  Jacobian acc{BigUint{1}, BigUint{1}, BigUint{}};
+  Jacobian acc = fe::infinity(m);
   for (std::size_t i = max_bits; i-- > 0;) {
-    acc = jac_dbl(acc);
+    acc = fe::dbl(m, a_mont_, acc);
     for (std::size_t j = 0; j < scalars.size(); ++j) {
-      if (scalars[j].bit(i)) acc = jac_add_mixed(acc, points[j]);
+      if (scalars[j].bit(i)) acc = fe::add_mixed(m, a_mont_, acc, pts[j]);
     }
   }
-  return to_affine(acc);
+  return to_point(m, to_affine(m, acc));
 }
 
 std::optional<Point> Curve::lift_x(const BigUint& x, bool even_y) const {

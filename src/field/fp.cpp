@@ -1,167 +1,84 @@
 #include "field/fp.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 namespace seccloud::field {
 
-namespace {
-
-/// SECCLOUD_FIELD_BACKEND=bigint forces the general path; anything else (or
-/// unset) keeps automatic selection. Read once per process.
-bool env_forces_bigint() {
-  static const bool forced = [] {
-    const char* v = std::getenv("SECCLOUD_FIELD_BACKEND");
-    return v != nullptr && std::strcmp(v, "bigint") == 0;
-  }();
-  return forced;
-}
-
-}  // namespace
-
-PrimeField::PrimeField(BigUint p, FieldBackend backend) : p_(std::move(p)) {
-  if (p_ < BigUint{3} || p_.is_even()) {
-    throw std::invalid_argument("PrimeField: modulus must be an odd integer >= 3");
+PrimeField::PrimeField(BigUint p) : mont_(p) {
+  if (is_three_mod_four()) {
+    sqrt_exponent_ = (p + BigUint{1}) >> 2;
+    return;
   }
-  k_ = p_.limb_count();
-  mu_ = (BigUint{1} << (2 * k_ * 64)) / p_;
-  p_three_mod_four_ = (p_.limb(0) & 3u) == 3u;
-  if (p_three_mod_four_) {
-    sqrt_exponent_ = (p_ + BigUint{1}) >> 2;
+  // Tonelli–Shanks setup: p − 1 = q·2^s with q odd, plus a quadratic
+  // non-residue z found by Euler's criterion. For prime p half of all
+  // candidates are non-residues, so the bounded search only fails for
+  // non-prime moduli; sqrt() then reports the failure instead of looping.
+  ts_q_ = p - BigUint{1};
+  while (ts_q_.is_even()) {
+    ts_q_ >>= 1;
+    ++ts_s_;
   }
-
-  if (backend == FieldBackend::kAuto && env_forces_bigint()) {
-    backend = FieldBackend::kBigint;
-  }
-  if (backend != FieldBackend::kBigint && fixed::MontCtx::fits(p_)) {
-    mont_ = std::make_unique<fixed::MontCtx>(p_);
-  }
-  if (backend == FieldBackend::kFixed && !mont_) {
-    throw std::invalid_argument(
-        "PrimeField: fixed backend requested but modulus exceeds 8 limbs");
-  }
-
-  if (!p_three_mod_four_) {
-    // Tonelli–Shanks setup: p − 1 = q·2^s with q odd, plus a quadratic
-    // non-residue z found by Euler's criterion. For prime p half of all
-    // candidates are non-residues, so the bounded search only fails for
-    // non-prime moduli; sqrt() then reports the failure instead of looping.
-    ts_q_ = p_ - BigUint{1};
-    while (ts_q_.is_even()) {
-      ts_q_ >>= 1;
-      ++ts_s_;
-    }
-    const BigUint euler = (p_ - BigUint{1}) >> 1;
-    const BigUint minus_one = p_ - BigUint{1};
-    for (std::uint64_t z = 2; z < 1000; ++z) {
-      if (pow(BigUint{z}, euler) == minus_one) {
-        ts_z_ = BigUint{z};
-        ts_ready_ = true;
-        break;
-      }
+  const BigUint euler = (p - BigUint{1}) >> 1;
+  const BigUint minus_one = p - BigUint{1};
+  for (std::uint64_t z = 2; z < 1000; ++z) {
+    if (pow(BigUint{z}, euler) == minus_one) {
+      ts_z_ = BigUint{z};
+      ts_ready_ = true;
+      break;
     }
   }
-}
-
-BigUint PrimeField::reduce(const BigUint& x) const {
-  if (x < p_) return x;
-  if (x.limb_count() > 2 * k_) return x % p_;
-  // Barrett: q = floor(floor(x / B^{k-1}) * mu / B^{k+1}); r = x - q*p.
-  BigUint q = x >> ((k_ - 1) * 64);
-  q *= mu_;
-  q >>= (k_ + 1) * 64;
-  BigUint r = x - q * p_;
-  while (r >= p_) r -= p_;
-  return r;
 }
 
 BigUint PrimeField::add(const BigUint& a, const BigUint& b) const {
   BigUint r = a + b;
-  if (r >= p_) r -= p_;
+  if (r >= modulus()) r -= modulus();
   return r;
 }
 
 BigUint PrimeField::sub(const BigUint& a, const BigUint& b) const {
   if (a >= b) return a - b;
-  return a + p_ - b;
+  return a + modulus() - b;
 }
 
 BigUint PrimeField::neg(const BigUint& a) const {
   if (a.is_zero()) return a;
-  return p_ - a;
+  return modulus() - a;
 }
 
 BigUint PrimeField::mul(const BigUint& a, const BigUint& b) const {
-  if (mont_ && a < p_ && b < p_) {
-    return mont_->to_biguint(mont_->mul_canonical(mont_->load(a), mont_->load(b)));
-  }
-  return reduce(a * b);
+  return mont_.to_biguint(mont_.mul_canonical(to_fe(a), to_fe(b)));
 }
 
 BigUint PrimeField::sqr(const BigUint& a) const {
-  if (mont_ && a < p_) {
-    return mont_->to_biguint(mont_->sqr_canonical(mont_->load(a)));
-  }
-  return reduce(a.squared());
+  return mont_.to_biguint(mont_.sqr_canonical(to_fe(a)));
 }
 
 BigUint PrimeField::mul_small(const BigUint& a, std::uint64_t k) const {
-  if (mont_ && a < p_) {
-    return mont_->to_biguint(mont_->mul_word(mont_->load(a), k));
-  }
-  BigUint r = a;
-  r *= k;
-  return reduce(r);
+  return mont_.to_biguint(mont_.mul_word(to_fe(a), k));
 }
 
 BigUint PrimeField::pow(const BigUint& a, const BigUint& e) const {
-  if (mont_) {
-    // One conversion each way; the whole ladder runs in the Montgomery
-    // domain on stack-allocated limbs.
-    const fixed::Fe base = mont_->to_mont(mont_->load(reduce(a)));
-    return mont_->to_biguint(mont_->from_mont(mont_->pow_mont(base, e)));
-  }
-  BigUint result{1};
-  BigUint base = reduce(a);
-  for (std::size_t i = e.bit_length(); i-- > 0;) {
-    result = sqr(result);
-    if (e.bit(i)) result = mul(result, base);
-  }
-  return result;
+  // One conversion each way; the whole ladder runs in the Montgomery domain.
+  const fixed::Fe base = mont_.to_mont(to_fe(a));
+  return mont_.to_biguint(mont_.from_mont(mont_.pow_mont(base, e)));
 }
 
 std::optional<BigUint> PrimeField::inv(const BigUint& a) const {
-  if (mont_) {
-    const BigUint r = reduce(a);
-    if (r.is_zero()) return std::nullopt;
-    if (auto iv = mont_->inv_mont(mont_->to_mont(mont_->load(r)))) {
-      return mont_->to_biguint(mont_->from_mont(*iv));
-    }
-    // gcd(r, p) > 1 under a composite modulus: defer to the BigUint
-    // extended gcd so both backends report the same answer.
-  }
-  return num::inv_mod(a, p_);
+  // nullopt for 0, and for any a sharing a factor with a composite modulus.
+  const auto iv = mont_.inv_mont(mont_.to_mont(to_fe(a)));
+  if (!iv) return std::nullopt;
+  return mont_.to_biguint(mont_.from_mont(*iv));
 }
 
 std::vector<BigUint> PrimeField::inv_batch(std::span<const BigUint> values) const {
-  if (values.empty()) return {};
-  // Prefix products: prefix[i] = v0 · v1 ⋯ vi.
-  std::vector<BigUint> prefix(values.size());
-  prefix[0] = reduce(values[0]);
-  if (prefix[0].is_zero()) throw std::domain_error("inv_batch: zero element");
-  for (std::size_t i = 1; i < values.size(); ++i) {
-    if (values[i].is_zero()) throw std::domain_error("inv_batch: zero element");
-    prefix[i] = mul(prefix[i - 1], values[i]);
+  std::vector<fixed::Fe> xs;
+  xs.reserve(values.size());
+  for (const BigUint& v : values) xs.push_back(mont_.to_mont(to_fe(v)));
+  std::vector<BigUint> out;
+  out.reserve(values.size());
+  for (const fixed::Fe& x : mont_.inv_batch_mont(xs)) {
+    out.push_back(mont_.to_biguint(mont_.from_mont(x)));
   }
-  auto running = inv(prefix.back());
-  if (!running) throw std::domain_error("inv_batch: product not invertible");
-  std::vector<BigUint> out(values.size());
-  for (std::size_t i = values.size(); i-- > 1;) {
-    out[i] = mul(*running, prefix[i - 1]);
-    running = mul(*running, values[i]);
-  }
-  out[0] = std::move(*running);
   return out;
 }
 
@@ -169,7 +86,7 @@ std::optional<BigUint> PrimeField::sqrt(const BigUint& a) const {
   const BigUint r = reduce(a);
   if (r.is_zero()) return BigUint{};
 
-  if (p_three_mod_four_) {
+  if (is_three_mod_four()) {
     BigUint candidate = pow(r, sqrt_exponent_);
     if (sqr(candidate) != r) return std::nullopt;
     return candidate;

@@ -1,27 +1,16 @@
 // Prime field F_p arithmetic.
 //
-// Context-object style: a PrimeField owns the modulus and reduction
-// machinery; elements are plain BigUint residues in [0, p). This keeps the
-// hot path (the Miller loop) free of per-element indirection.
-//
-// Two backends share this interface and produce bit-identical residues:
-//   * kBigint — the original heap-allocating BigUint path with Barrett
-//     reduction; always available, authoritative for setup/keygen.
-//   * kFixed  — the stack-allocated fixed-limb Montgomery core
-//     (field/fp_fixed.h), selected automatically when the modulus fits in
-//     8×64 bits. mul/sqr/pow/inv/mul_small route through it; the really hot
-//     consumers (ec::Curve, the Miller loop, FixedPairing) additionally
-//     bypass BigUint entirely via fixed_core().
-// The environment variable SECCLOUD_FIELD_BACKEND=bigint forces the general
-// path even where the fixed core would fit (differential testing, A/B
-// benchmarking); any other value leaves automatic selection in place.
+// Context-object style: a PrimeField owns the modulus and its fixed-limb
+// Montgomery context (field/fp_fixed.h); elements of the public API are
+// plain BigUint residues in [0, p). mul/sqr/pow/inv/mul_small convert at the
+// boundary and run on stack limbs; the hot consumers (ec::Curve, the Miller
+// loop, FixedPairing) use mont() directly and stay on limbs end to end.
+// Every modulus must fit the core (odd, 3 ≤ p < 2^512).
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "bigint/biguint.h"
-#include "bigint/modular.h"
 #include "bigint/rng.h"
 #include "field/fp_fixed.h"
 
@@ -29,33 +18,25 @@ namespace seccloud::field {
 
 using num::BigUint;
 
-/// Backend selection for PrimeField (see file comment).
-enum class FieldBackend {
-  kAuto,    ///< fixed core when the modulus fits, BigUint otherwise
-  kBigint,  ///< force the general BigUint/Barrett path
-  kFixed,   ///< require the fixed core; throws if the modulus does not fit
-};
-
 class PrimeField {
  public:
   /// `p` must be an odd prime (not verified here; callers pass verified or
-  /// pinned parameters). Throws std::invalid_argument if p < 3 or even, or
-  /// if `backend` is kFixed and p is wider than the fixed core supports.
-  explicit PrimeField(BigUint p, FieldBackend backend = FieldBackend::kAuto);
+  /// pinned parameters). Throws std::invalid_argument if p < 3, even, or
+  /// wider than fixed::kMaxLimbs limbs.
+  explicit PrimeField(BigUint p);
 
-  const BigUint& modulus() const noexcept { return p_; }
-  std::size_t limb_count() const noexcept { return k_; }
+  const BigUint& modulus() const noexcept { return mont_.modulus(); }
 
-  /// The fixed-limb Montgomery core, or nullptr when this field runs on the
-  /// BigUint backend. Hot loops (curve, pairing) branch on this once and
-  /// then stay on fixed-limb arithmetic end to end.
-  const fixed::MontCtx* fixed_core() const noexcept { return mont_.get(); }
-  bool has_fixed_core() const noexcept { return mont_ != nullptr; }
+  /// The fixed-limb Montgomery context the hot loops run on.
+  const fixed::MontCtx& mont() const noexcept { return mont_; }
 
-  /// Reduces an arbitrary non-negative integer into [0, p). Uses Barrett
-  /// reduction when x < p^2, a full division otherwise. (Always the BigUint
-  /// path: inputs may be arbitrarily wide.)
-  BigUint reduce(const BigUint& x) const;
+  /// Canonical limbs of x mod p (x may be any non-negative integer).
+  fixed::Fe to_fe(const BigUint& x) const {
+    return x < modulus() ? mont_.load(x) : mont_.load(x % modulus());
+  }
+
+  /// Reduces an arbitrary non-negative integer into [0, p).
+  BigUint reduce(const BigUint& x) const { return x < modulus() ? x : x % modulus(); }
 
   BigUint add(const BigUint& a, const BigUint& b) const;
   BigUint sub(const BigUint& a, const BigUint& b) const;
@@ -78,21 +59,17 @@ class PrimeField {
 
   /// Batch inversion (Montgomery's trick): inverts every element with ONE
   /// field inversion plus 3(n−1) multiplications. All inputs must be
-  /// nonzero; throws std::domain_error otherwise.
+  /// nonzero mod p; throws std::domain_error otherwise.
   std::vector<BigUint> inv_batch(std::span<const BigUint> values) const;
 
   /// Uniform element of [0, p).
-  BigUint random(num::RandomSource& rng) const { return rng.next_below(p_); }
+  BigUint random(num::RandomSource& rng) const { return rng.next_below(modulus()); }
 
-  bool is_three_mod_four() const noexcept { return p_three_mod_four_; }
+  bool is_three_mod_four() const noexcept { return (modulus().limb(0) & 3u) == 3u; }
 
  private:
-  BigUint p_;
-  BigUint mu_;             ///< Barrett constant: floor(B^{2k} / p), B = 2^64.
+  fixed::MontCtx mont_;
   BigUint sqrt_exponent_;  ///< (p+1)/4 when p ≡ 3 (mod 4).
-  std::size_t k_;          ///< Limb count of p.
-  bool p_three_mod_four_;
-  std::unique_ptr<fixed::MontCtx> mont_;  ///< fixed backend; null on kBigint
 
   // Tonelli–Shanks precomputation (p ≡ 1 (mod 4) only): p − 1 = q·2^s and a
   // quadratic non-residue z. ts_ready_ is false when no non-residue was

@@ -20,20 +20,14 @@ Fp2 Fp2Field::sub(const Fp2& x, const Fp2& y) const {
 
 Fp2 Fp2Field::neg(const Fp2& x) const { return {fp_->neg(x.a), fp_->neg(x.b)}; }
 
+// fe2_mul/fe2_sqr are built from mont_mul, so on canonical (not Montgomery)
+// operands they return the canonical result times R⁻¹; one more to_mont (·R)
+// per component repairs it — no domain conversions on the way in.
 Fp2 Fp2Field::mul(const Fp2& x, const Fp2& y) const {
-  // Karatsuba: t0 = x.a y.a, t1 = x.b y.b, t2 = (x.a+x.b)(y.a+y.b).
-  const BigUint t0 = fp_->mul(x.a, y.a);
-  const BigUint t1 = fp_->mul(x.b, y.b);
-  const BigUint t2 = fp_->mul(fp_->add(x.a, x.b), fp_->add(y.a, y.b));
-  return {fp_->sub(t0, t1), fp_->sub(t2, fp_->add(t0, t1))};
+  return rescale(fe2_mul(load(x), load(y)));
 }
 
-Fp2 Fp2Field::sqr(const Fp2& x) const {
-  const BigUint sum = fp_->add(x.a, x.b);
-  const BigUint diff = fp_->sub(x.a, x.b);
-  const BigUint cross = fp_->mul(x.a, x.b);
-  return {fp_->mul(sum, diff), fp_->add(cross, cross)};
-}
+Fp2 Fp2Field::sqr(const Fp2& x) const { return rescale(fe2_sqr(load(x))); }
 
 Fp2 Fp2Field::conj(const Fp2& x) const { return {x.a, fp_->neg(x.b)}; }
 
@@ -46,58 +40,41 @@ std::optional<Fp2> Fp2Field::inv(const Fp2& x) const {
 }
 
 Fp2 Fp2Field::pow(const Fp2& x, const BigUint& e) const {
-  if (has_fixed_core()) {
-    // Same square-and-multiply schedule, but the whole ladder runs on
-    // Montgomery-domain stack limbs: two conversions total instead of a
-    // heap-allocating Barrett reduction per step.
-    const Fe2 base = fe2_import(x);
-    Fe2 result = fe2_one();
-    for (std::size_t i = e.bit_length(); i-- > 0;) {
-      result = fe2_sqr(result);
-      if (e.bit(i)) result = fe2_mul(result, base);
-    }
-    return fe2_export(result);
-  }
-  Fp2 result = one();
+  // Square-and-multiply on Montgomery-domain stack limbs: two conversions
+  // total.
+  const Fe2 base = fe2_import(x);
+  Fe2 result = fe2_one();
   for (std::size_t i = e.bit_length(); i-- > 0;) {
-    result = sqr(result);
-    if (e.bit(i)) result = mul(result, x);
+    result = fe2_sqr(result);
+    if (e.bit(i)) result = fe2_mul(result, base);
   }
-  return result;
+  return fe2_export(result);
+}
+
+Fe2 Fp2Field::load(const Fp2& x) const { return {fp_->to_fe(x.a), fp_->to_fe(x.b)}; }
+
+Fp2 Fp2Field::rescale(const Fe2& x) const {
+  const auto& m = fp_->mont();
+  return {m.to_biguint(m.to_mont(x.a)), m.to_biguint(m.to_mont(x.b))};
 }
 
 Fe2 Fp2Field::fe2_import(const Fp2& x) const {
-  const auto& m = *fp_->fixed_core();
-  return {m.to_mont(m.load(x.a)), m.to_mont(m.load(x.b))};
+  const auto& m = fp_->mont();
+  return {m.to_mont(fp_->to_fe(x.a)), m.to_mont(fp_->to_fe(x.b))};
 }
 
 Fp2 Fp2Field::fe2_export(const Fe2& x) const {
-  const auto& m = *fp_->fixed_core();
+  const auto& m = fp_->mont();
   return {m.to_biguint(m.from_mont(x.a)), m.to_biguint(m.from_mont(x.b))};
 }
 
 Fe2 Fp2Field::fe2_one() const {
-  return {fp_->fixed_core()->one_mont(), fixed::Fe{}};
-}
-
-bool Fp2Field::fe2_is_zero(const Fe2& x) const noexcept {
-  const auto& m = *fp_->fixed_core();
-  return m.is_zero(x.a) && m.is_zero(x.b);
-}
-
-Fe2 Fp2Field::fe2_add(const Fe2& x, const Fe2& y) const {
-  const auto& m = *fp_->fixed_core();
-  return {m.add(x.a, y.a), m.add(x.b, y.b)};
-}
-
-Fe2 Fp2Field::fe2_sub(const Fe2& x, const Fe2& y) const {
-  const auto& m = *fp_->fixed_core();
-  return {m.sub(x.a, y.a), m.sub(x.b, y.b)};
+  return {fp_->mont().one_mont(), fixed::Fe{}};
 }
 
 Fe2 Fp2Field::fe2_mul(const Fe2& x, const Fe2& y) const {
-  // Karatsuba, mirroring mul() above term for term.
-  const auto& m = *fp_->fixed_core();
+  // Karatsuba: t0 = x.a y.a, t1 = x.b y.b, t2 = (x.a+x.b)(y.a+y.b).
+  const auto& m = fp_->mont();
   const fixed::Fe t0 = m.mont_mul(x.a, y.a);
   const fixed::Fe t1 = m.mont_mul(x.b, y.b);
   const fixed::Fe t2 = m.mont_mul(m.add(x.a, x.b), m.add(y.a, y.b));
@@ -105,15 +82,11 @@ Fe2 Fp2Field::fe2_mul(const Fe2& x, const Fe2& y) const {
 }
 
 Fe2 Fp2Field::fe2_sqr(const Fe2& x) const {
-  const auto& m = *fp_->fixed_core();
+  const auto& m = fp_->mont();
   const fixed::Fe sum = m.add(x.a, x.b);
   const fixed::Fe diff = m.sub(x.a, x.b);
   const fixed::Fe cross = m.mont_mul(x.a, x.b);
   return {m.mont_mul(sum, diff), m.add(cross, cross)};
-}
-
-Fe2 Fp2Field::fe2_conj(const Fe2& x) const {
-  return {x.a, fp_->fixed_core()->neg(x.b)};
 }
 
 Fp2 Fp2Field::random(num::RandomSource& rng) const {

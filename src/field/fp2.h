@@ -10,7 +10,7 @@
 namespace seccloud::field {
 
 /// Element a + b·i of F_{p^2}. Plain value type; all arithmetic goes through
-/// the Fp2Field context so the Barrett machinery is shared.
+/// the Fp2Field context.
 struct Fp2 {
   BigUint a;  ///< real part
   BigUint b;  ///< imaginary part
@@ -19,8 +19,7 @@ struct Fp2 {
 };
 
 /// Fixed-limb F_{p^2} element for the Miller-loop hot path: both components
-/// are Montgomery-domain fixed::Fe values. Only meaningful alongside a
-/// Fp2Field whose base field has a fixed core.
+/// are Montgomery-domain fixed::Fe values.
 struct Fe2 {
   fixed::Fe a;
   fixed::Fe b;
@@ -61,21 +60,17 @@ class Fp2Field {
   /// "a+b*i" textual form (for logging / golden tests).
   std::string to_string(const Fp2& x) const;
 
-  // --- fixed-limb fast path (valid iff base().has_fixed_core()) ---------
-  // Mirrors the exact mul/sqr formula sequences above on Montgomery-domain
-  // stack limbs, so canonical results are bit-identical to the BigUint path.
-  bool has_fixed_core() const noexcept { return fp_->has_fixed_core(); }
-  Fe2 fe2_import(const Fp2& x) const;   ///< canonical Fp2 → Montgomery Fe2
+  // --- fixed-limb hot path ----------------------------------------------
+  // Montgomery-domain stack limbs; mul/sqr/pow above are wrappers over these.
   Fp2 fe2_export(const Fe2& x) const;   ///< Montgomery Fe2 → canonical Fp2
   Fe2 fe2_one() const;
-  bool fe2_is_zero(const Fe2& x) const noexcept;
-  Fe2 fe2_add(const Fe2& x, const Fe2& y) const;
-  Fe2 fe2_sub(const Fe2& x, const Fe2& y) const;
   Fe2 fe2_mul(const Fe2& x, const Fe2& y) const;  ///< Karatsuba, 3 mont_muls
   Fe2 fe2_sqr(const Fe2& x) const;                ///< 2 mont_muls
-  Fe2 fe2_conj(const Fe2& x) const;
 
  private:
+  Fe2 fe2_import(const Fp2& x) const;  ///< canonical Fp2 → Montgomery Fe2
+  Fe2 load(const Fp2& x) const;       ///< canonical limbs, no domain change
+  Fp2 rescale(const Fe2& x) const;    ///< limbs of x·R⁻¹ → canonical x
   const PrimeField* fp_;
 };
 

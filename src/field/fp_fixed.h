@@ -1,11 +1,11 @@
-// Fixed-limb Montgomery arithmetic for F_p — the hot-path numeric core.
+// Fixed-limb Montgomery arithmetic for F_p — the numeric core under every
+// field, curve and pairing operation.
 //
 // Every SecCloud audit bottoms out in 512-bit F_p multiplications inside the
-// Tate pairing. The general `src/bigint` path heap-allocates a vector per
-// operation and reduces with Barrett division; this core instead represents a
-// field element as a fixed-capacity stack array of 64-bit limbs (N ≤ 8,
-// N = 8 for the pinned 512-bit prime) and multiplies with CIOS Montgomery
-// multiplication, so an entire Miller loop runs without touching the heap.
+// Tate pairing. This core represents a field element as a fixed-capacity
+// stack array of 64-bit limbs (N ≤ 8, N = 8 for the pinned 512-bit prime)
+// and multiplies with CIOS Montgomery multiplication, so an entire Miller
+// loop runs without touching the heap.
 //
 // Domain conventions (see DESIGN.md §11):
 //   * canonical domain: a residue x in [0, p), limbs little-endian;
@@ -13,7 +13,7 @@
 // mont_mul(ã, b̃) = a·b·R mod p keeps the domain closed; mont_mul on two
 // *canonical* residues yields a·b·R⁻¹, which `mul_canonical` repairs with one
 // extra multiplication by R² — that identity is what lets PrimeField
-// accelerate its BigUint-facing API without converting operands.
+// serve its BigUint-facing API without converting operands.
 //
 // add/sub/neg are domain-agnostic (exact mod-p maps) and constant-shape: no
 // value-dependent branches, conditional subtraction via limb masks. The core
@@ -21,10 +21,10 @@
 // indexed by exponent windows — but the arithmetic itself avoids the obvious
 // operand-dependent control flow.
 //
-// BigUint remains authoritative at the boundary: constants (R mod p, R² mod
-// p) are derived from BigUint division at context construction, conversions
-// go through from_biguint/to_biguint, and anything wider than kMaxLimbs
-// (RSA moduli, parameter generation) stays on the general path.
+// BigUint stays at the boundary: constants (R mod p, R² mod p) are derived
+// from BigUint division at context construction, and conversions go through
+// from_biguint/to_biguint. Moduli wider than kMaxLimbs (RSA, parameter
+// generation) never reach this core; they use src/bigint directly.
 #pragma once
 
 #include <array>
@@ -38,7 +38,8 @@
 namespace seccloud::field::fixed {
 
 /// Capacity ceiling: 8×64 = 512 bits covers the pinned SS512 prime, P-256,
-/// and the tiny test parameters. Wider moduli must use the BigUint path.
+/// and the tiny test parameters; MontCtx (and so PrimeField) rejects wider
+/// moduli.
 inline constexpr std::size_t kMaxLimbs = 8;
 
 /// A fixed-capacity field element (little-endian limbs). Limbs at or beyond

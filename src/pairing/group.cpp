@@ -4,14 +4,14 @@
 
 #include "hash/hash_to.h"
 #include "obs/metrics.h"
+#include "pairing/miller.h"
 
 namespace seccloud::pairing {
 
 using field::BigUint;
 
-PairingGroup::PairingGroup(const TypeAParams& params, field::FieldBackend backend)
-    : params_(params) {
-  fp_ = std::make_unique<field::PrimeField>(params_.p, backend);
+PairingGroup::PairingGroup(const TypeAParams& params) : params_(params) {
+  fp_ = std::make_unique<field::PrimeField>(params_.p);
   fp2_ = std::make_unique<field::Fp2Field>(*fp_);
   // E: y^2 = x^3 + x (a = 1, b = 0); subgroup order q, cofactor h.
   curve_ = std::make_unique<ec::Curve>(*fp_, BigUint{1}, BigUint{}, params_.q, params_.h);
@@ -50,185 +50,6 @@ bool PairingGroup::in_g1(const Point& pt) const {
   return curve_->mul(params_.q, pt).infinity;
 }
 
-namespace {
-
-/// Jacobian coordinates with the base field passed explicitly; local to the
-/// Miller loop (ec::Curve keeps its own Jacobian type private).
-struct Jac {
-  BigUint x;
-  BigUint y;
-  BigUint z;
-  bool is_infinity() const noexcept { return z.is_zero(); }
-};
-
-}  // namespace
-
-Fp2 PairingGroup::miller_loop(const Point& p, const Point& q) const {
-  if (fp_->has_fixed_core() && p.x < params_.p && p.y < params_.p && q.x < params_.p &&
-      q.y < params_.p) {
-    return miller_loop_fixed(p, q);
-  }
-  const auto& f = *fp_;
-  const auto& f2 = *fp2_;
-
-  // Evaluation point φ(Q) = (−x_Q, i·y_Q).
-  const BigUint xq = f.neg(q.x);
-  const BigUint& yq = q.y;
-
-  Fp2 acc = f2.one();
-  Jac t{p.x, p.y, BigUint{1}};
-
-  // Doubling step T ← 2T with the tangent line l_{T,T} evaluated at φ(Q).
-  // Shared between the per-bit doubling and the degenerate T = P addition
-  // (where the connecting line *is* the tangent). Multiplies `acc` in place;
-  // a vertical tangent (2T = O) lies in the subfield and is eliminated.
-  const auto dbl_step = [&](Jac& t_io, Fp2& acc_io) {
-    if (t_io.y.is_zero()) {
-      t_io = Jac{BigUint{1}, BigUint{1}, BigUint{}};
-      return;
-    }
-    const BigUint y2 = f.sqr(t_io.y);                      // Y^2
-    const BigUint s = f.mul_small(f.mul(t_io.x, y2), 4);   // S = 4XY^2
-    const BigUint z2 = f.sqr(t_io.z);                      // Z^2
-    const BigUint m = f.add(f.mul_small(f.sqr(t_io.x), 3), // M = 3X^2 + Z^4  (a = 1)
-                            f.sqr(z2));
-    const BigUint x3 = f.sub(f.sqr(m), f.add(s, s));
-    const BigUint y3 = f.sub(f.mul(m, f.sub(s, x3)), f.mul_small(f.sqr(y2), 8));
-    const BigUint z3 = f.mul_small(f.mul(t_io.y, t_io.z), 2);
-    // l = 2YZ^3·y' − 2Y^2 − M(Z^2 x' − X), y' = y_Q·i, x' = −x_Q:
-    const BigUint real = f.neg(
-        f.add(f.add(y2, y2), f.mul(m, f.sub(f.mul(z2, xq), t_io.x))));
-    const BigUint imag = f.mul(f.mul(z3, z2), yq);  // Z3·Z^2 = 2YZ^3
-    acc_io = f2.mul(acc_io, Fp2{real, imag});
-    t_io = Jac{x3, y3, z3};
-  };
-
-  const BigUint& n = params_.q;
-  for (std::size_t i = n.bit_length() - 1; i-- > 0;) {
-    // --- Doubling step: T ← 2T, line l_{T,T} evaluated at φ(Q). ---------
-    acc = f2.sqr(acc);
-    if (!t.is_infinity()) dbl_step(t, acc);
-
-    if (!n.bit(i)) continue;
-
-    // --- Addition step: T ← T + P, line l_{T,P} evaluated at φ(Q). ------
-    if (t.is_infinity()) {
-      t = Jac{p.x, p.y, BigUint{1}};
-      continue;
-    }
-    const BigUint z1_sq = f.sqr(t.z);
-    const BigUint u2 = f.mul(p.x, z1_sq);
-    const BigUint s2 = f.mul(p.y, f.mul(z1_sq, t.z));
-    const BigUint hh = f.sub(u2, t.x);
-    const BigUint r = f.sub(s2, t.y);
-    if (hh.is_zero()) {
-      if (r.is_zero()) {
-        // T = P exactly (small-order P makes the partial scalar wrap to 1):
-        // the connecting line degenerates to the tangent at T, i.e. a
-        // doubling step.
-        dbl_step(t, acc);
-        continue;
-      }
-      // T = −P ⇒ T + P = O; the connecting line is vertical (subfield).
-      t = Jac{BigUint{1}, BigUint{1}, BigUint{}};
-      continue;
-    }
-    const BigUint h2 = f.sqr(hh);
-    const BigUint h3 = f.mul(h2, hh);
-    const BigUint x1h2 = f.mul(t.x, h2);
-    const BigUint x3 = f.sub(f.sub(f.sqr(r), h3), f.add(x1h2, x1h2));
-    const BigUint y3 = f.sub(f.mul(r, f.sub(x1h2, x3)), f.mul(t.y, h3));
-    const BigUint z3 = f.mul(t.z, hh);
-    // l = Z3(y' − y_P) − R(x' − x_P), y' = y_Q·i:
-    const BigUint real = f.neg(f.add(f.mul(z3, p.y), f.mul(r, f.sub(xq, p.x))));
-    const BigUint imag = f.mul(z3, yq);
-    acc = f2.mul(acc, Fp2{real, imag});
-    t = Jac{x3, y3, z3};
-  }
-  return acc;
-}
-
-Fp2 PairingGroup::miller_loop_fixed(const Point& p, const Point& q) const {
-  using field::Fe2;
-  using field::fixed::Fe;
-  const auto& m = *fp_->fixed_core();
-  const auto& f2 = *fp2_;
-
-  // Montgomery-domain inputs; φ(Q) = (−x_Q, i·y_Q).
-  const Fe xp = m.to_mont(m.load(p.x));
-  const Fe yp = m.to_mont(m.load(p.y));
-  const Fe xq = m.neg(m.to_mont(m.load(q.x)));
-  const Fe yq = m.to_mont(m.load(q.y));
-
-  struct FeJac {
-    Fe x;
-    Fe y;
-    Fe z;
-  };
-
-  Fe2 acc = f2.fe2_one();
-  FeJac t{xp, yp, m.one_mont()};
-  bool t_inf = false;
-
-  // Same formula schedule as the BigUint loop above, term for term.
-  const auto dbl_step = [&]() {
-    if (m.is_zero(t.y)) {
-      t_inf = true;
-      return;
-    }
-    const Fe y2 = m.mont_sqr(t.y);
-    const Fe s = m.mul_word(m.mont_mul(t.x, y2), 4);
-    const Fe z2 = m.mont_sqr(t.z);
-    const Fe mm = m.add(m.mul_word(m.mont_sqr(t.x), 3), m.mont_sqr(z2));
-    const Fe x3 = m.sub(m.mont_sqr(mm), m.add(s, s));
-    const Fe y3 = m.sub(m.mont_mul(mm, m.sub(s, x3)), m.mul_word(m.mont_sqr(y2), 8));
-    const Fe z3 = m.mul_word(m.mont_mul(t.y, t.z), 2);
-    const Fe real =
-        m.neg(m.add(m.add(y2, y2), m.mont_mul(mm, m.sub(m.mont_mul(z2, xq), t.x))));
-    const Fe imag = m.mont_mul(m.mont_mul(z3, z2), yq);
-    acc = f2.fe2_mul(acc, Fe2{real, imag});
-    t = FeJac{x3, y3, z3};
-  };
-
-  const BigUint& n = params_.q;
-  for (std::size_t i = n.bit_length() - 1; i-- > 0;) {
-    acc = f2.fe2_sqr(acc);
-    if (!t_inf) dbl_step();
-
-    if (!n.bit(i)) continue;
-
-    if (t_inf) {
-      t = FeJac{xp, yp, m.one_mont()};
-      t_inf = false;
-      continue;
-    }
-    const Fe z1_sq = m.mont_sqr(t.z);
-    const Fe u2 = m.mont_mul(xp, z1_sq);
-    const Fe s2 = m.mont_mul(yp, m.mont_mul(z1_sq, t.z));
-    const Fe hh = m.sub(u2, t.x);
-    const Fe r = m.sub(s2, t.y);
-    if (m.is_zero(hh)) {
-      if (m.is_zero(r)) {
-        dbl_step();  // T = P: connecting line degenerates to the tangent
-        continue;
-      }
-      t_inf = true;  // T = −P ⇒ T + P = O; vertical line, eliminated
-      continue;
-    }
-    const Fe h2 = m.mont_sqr(hh);
-    const Fe h3 = m.mont_mul(h2, hh);
-    const Fe x1h2 = m.mont_mul(t.x, h2);
-    const Fe x3 = m.sub(m.sub(m.mont_sqr(r), h3), m.add(x1h2, x1h2));
-    const Fe y3 = m.sub(m.mont_mul(r, m.sub(x1h2, x3)), m.mont_mul(t.y, h3));
-    const Fe z3 = m.mont_mul(t.z, hh);
-    const Fe real = m.neg(m.add(m.mont_mul(z3, yp), m.mont_mul(r, m.sub(xq, xp))));
-    const Fe imag = m.mont_mul(z3, yq);
-    acc = f2.fe2_mul(acc, Fe2{real, imag});
-    t = FeJac{x3, y3, z3};
-  }
-  return f2.fe2_export(acc);
-}
-
 Fp2 PairingGroup::final_exponentiation(const Fp2& f) const {
   const auto& f2 = *fp2_;
   // e = (p^2 − 1)/q = (p − 1)·h.   f^(p−1) = conj(f)·f^{-1} (Frobenius).
@@ -251,7 +72,7 @@ Gt PairingGroup::pair(const Point& p, const Point& q) const {
   ++tls.miller_loops;
   ++tls.final_exps;
   if (p.infinity || q.infinity) return fp2_->one();
-  return final_exponentiation(miller_loop(p, q));
+  return final_exponentiation(MillerLines::evaluate_once(*fp2_, p, q, params_.q));
 }
 
 Gt PairingGroup::pair_product(std::span<const std::pair<Point, Point>> pairs) const {
@@ -266,7 +87,7 @@ Gt PairingGroup::pair_product(std::span<const std::pair<Point, Point>> pairs) co
 Fp2 PairingGroup::miller(const Point& p, const Point& q) const {
   counters_.miller_loops.fetch_add(1, std::memory_order_relaxed);
   ++tls_op_counters().miller_loops;
-  return miller_loop(p, q);
+  return MillerLines::evaluate_once(*fp2_, p, q, params_.q);
 }
 
 Gt PairingGroup::finalize(const Fp2& f) const {

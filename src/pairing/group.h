@@ -1,8 +1,10 @@
 // The pairing engine: G1 (order-q subgroup of a supersingular curve),
 // GT (order-q subgroup of F_{p^2}^*), and the modified Tate pairing
-// ê: G1 × G1 → GT computed with Miller's algorithm in Jacobian coordinates
-// with denominator elimination (vertical lines lie in the subfield F_p and
-// are annihilated by the final exponentiation (p²−1)/q = (p−1)·h).
+// ê: G1 × G1 → GT computed with Miller's algorithm (pairing/miller.h) in
+// Jacobian coordinates with denominator elimination (vertical lines lie in
+// the subfield F_p and are annihilated by the final exponentiation
+// (p²−1)/q = (p−1)·h). All arithmetic runs on the fixed-limb Montgomery
+// core of the base field.
 #pragma once
 
 #include <atomic>
@@ -34,11 +36,8 @@ using Gt = Fp2;
 
 class PairingGroup {
  public:
-  /// `backend` selects the base-field implementation (kAuto picks the
-  /// fixed-limb Montgomery core when the modulus fits; kBigint forces the
-  /// Barrett path — useful for differential tests and A/B runs).
-  explicit PairingGroup(const TypeAParams& params,
-                        field::FieldBackend backend = field::FieldBackend::kAuto);
+  /// Throws std::invalid_argument if p is wider than the fixed-limb core.
+  explicit PairingGroup(const TypeAParams& params);
 
   const TypeAParams& params() const noexcept { return params_; }
   const field::PrimeField& fp() const noexcept { return *fp_; }
@@ -79,8 +78,8 @@ class PairingGroup {
   Gt pair_product(std::span<const std::pair<Point, Point>> pairs) const;
 
   /// Miller loop only (no final exponentiation) — the building block shared
-  /// by pair_product, the fixed-argument precomputation, and the parallel
-  /// engine. Inputs must be finite points. Counts one miller_loop.
+  /// by pair_product and the parallel engine. Inputs must be finite points.
+  /// Counts one miller_loop.
   Fp2 miller(const Point& p, const Point& q) const;
 
   /// Final exponentiation f^((p²−1)/q). Counts one final_exp.
@@ -108,7 +107,9 @@ class PairingGroup {
   OpCounters counters() const noexcept;
   /// Rebaselines counters() to zero. The raw accumulator keeps growing —
   /// lifetime_counters() is unaffected, so registry collectors see cumulative
-  /// totals even across reset-heavy measured sections.
+  /// totals even across reset-heavy measured sections. Library code never
+  /// resets (its reports take lifetime_counters() deltas), so a caller's
+  /// counters() window spans any library call made inside it.
   void reset_counters() const noexcept;
   /// Cumulative operation totals since construction (ignores resets).
   OpCounters lifetime_counters() const noexcept;
@@ -123,10 +124,6 @@ class PairingGroup {
   void publish_to(obs::MetricsRegistry& registry, std::string prefix) const;
 
  private:
-  Fp2 miller_loop(const Point& p, const Point& q) const;
-  /// Fixed-limb twin of miller_loop: the whole loop runs on Montgomery-domain
-  /// stack limbs. Bit-identical canonical results (same formula schedule).
-  Fp2 miller_loop_fixed(const Point& p, const Point& q) const;
   Fp2 final_exponentiation(const Fp2& f) const;
 
   TypeAParams params_;

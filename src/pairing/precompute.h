@@ -11,11 +11,12 @@
 // addition and keeps only the two line-evaluation multiplications per step.
 //
 // pair_with(Q) is bit-identical to group.pair(fixed, Q) (and, by symmetry,
-// to group.pair(Q, fixed)): the line coefficients are the exact residues the
-// serial loop would produce, and F_p arithmetic is exact.
+// to group.pair(Q, fixed)): both evaluate the same recorded lines
+// (pairing/miller.h).
 #pragma once
 
 #include "pairing/group.h"
+#include "pairing/miller.h"
 
 namespace seccloud::pairing {
 
@@ -38,30 +39,9 @@ class FixedPairing {
   Fp2 miller_with(const Point& q) const;
 
  private:
-  /// One line function l evaluated at φ(Q) = (−x_Q, i·y_Q):
-  ///   l(φ(Q)) = −(u + v·x̄_Q) + (w·y_Q)·i,  x̄_Q = −x_Q mod p.
-  /// Both the doubling and the addition step reduce to this form.
-  struct Line {
-    num::BigUint u;
-    num::BigUint v;
-    num::BigUint w;
-  };
-
-  /// Montgomery-domain mirror of Line, recorded when the base field has a
-  /// fixed-limb core so replays run without BigUint conversions.
-  struct FeLine {
-    field::fixed::Fe u;
-    field::fixed::Fe v;
-    field::fixed::Fe w;
-  };
-
-  Fp2 miller_with_fixed(const Point& q) const;
-
   const PairingGroup* group_;
   Point fixed_;
-  std::vector<std::uint8_t> lines_per_step_;  ///< 0..2 lines per loop iteration
-  std::vector<Line> lines_;                   ///< flat, in evaluation order
-  std::vector<FeLine> fe_lines_;              ///< Montgomery twins of lines_
+  MillerLines lines_;
 };
 
 }  // namespace seccloud::pairing

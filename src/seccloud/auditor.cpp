@@ -74,7 +74,7 @@ AuditReport verify_computation_audit_impl(
     const Point& q_server, const ComputationTask& task, const Commitment& commitment,
     const AuditChallenge& challenge, const AuditResponse& response,
     const IdentityKey& da_key, SignatureCheckMode mode) {
-  group.reset_counters();
+  const pairing::OpCounters ops_at_entry = group.lifetime_counters();
   obs::ProfileSpan span = obs::profile_span("computation_audit");
   if (span) {
     span.arg("samples", std::to_string(challenge.sample_indices.size()));
@@ -86,7 +86,7 @@ AuditReport verify_computation_audit_impl(
 
   if (!response.warrant_accepted) {
     report.warrant_rejected = true;
-    report.ops = group.counters();
+    report.ops = group.lifetime_counters() - ops_at_entry;
     return report;
   }
 
@@ -238,7 +238,7 @@ AuditReport verify_computation_audit_impl(
 
   report.accepted = report.root_signature_valid && report.signature_failures == 0 &&
                     report.computation_failures == 0 && report.root_failures == 0;
-  report.ops = group.counters();
+  report.ops = group.lifetime_counters() - ops_at_entry;
   return report;
 }
 
@@ -248,7 +248,7 @@ StorageAuditReport verify_storage_audit_impl(const PairingGroup& group,
                                              std::span<const SignedBlock> blocks,
                                              const IdentityKey& verifier_key,
                                              VerifierRole role, SignatureCheckMode mode) {
-  group.reset_counters();
+  const pairing::OpCounters ops_at_entry = group.lifetime_counters();
   obs::ProfileSpan span = obs::profile_span("storage_audit");
   if (span) {
     span.arg("blocks", std::to_string(blocks.size()));
@@ -289,7 +289,7 @@ StorageAuditReport verify_storage_audit_impl(const PairingGroup& group,
     }
     if (batch.size() == 0 || batch.verify(verifier_key)) {
       report.accepted = true;
-      report.ops = group.counters();
+      report.ops = group.lifetime_counters() - ops_at_entry;
       return report;
     }
     // Batch rejected: isolate the invalid members by bisection instead of
@@ -310,7 +310,7 @@ StorageAuditReport verify_storage_audit_impl(const PairingGroup& group,
     }
     publish_bisection(report.bisection, report.invalid_signature_entries.size());
     report.accepted = false;
-    report.ops = group.counters();
+    report.ops = group.lifetime_counters() - ops_at_entry;
     return report;
   }
 
@@ -330,7 +330,7 @@ StorageAuditReport verify_storage_audit_impl(const PairingGroup& group,
   }
   verify_span.end();
   report.accepted = report.signature_failures == 0;
-  report.ops = group.counters();
+  report.ops = group.lifetime_counters() - ops_at_entry;
   return report;
 }
 

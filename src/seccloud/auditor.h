@@ -39,7 +39,7 @@ struct AuditReport {
   /// single bad member.
   std::vector<std::size_t> invalid_signature_entries;
   ibc::BisectionStats bisection;       ///< cost of the isolation (if any ran)
-  pairing::OpCounters ops;             ///< pairing/point-mult cost of this audit
+  pairing::OpCounters ops;             ///< lifetime-counter delta across this audit
 };
 
 /// Uniform random sample S = {c_1, ..., c_t} without replacement from

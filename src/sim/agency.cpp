@@ -87,13 +87,14 @@ SimAgency::MultiUserReport SimAgency::audit_storage_multiuser(
     retrieved.push_back(std::move(item));
   }
 
-  group_->reset_counters();
+  const std::uint64_t pairings_at_verify = group_->lifetime_counters().pairings;
   report.accepted = aggregate.size() == 0 || aggregate.verify(da_key_);
-  report.pairings_used = group_->counters().pairings;
-  if (report.accepted) return report;
+  if (report.accepted) {
+    report.pairings_used = group_->lifetime_counters().pairings - pairings_at_verify;
+    return report;
+  }
 
   // Locate offenders with per-session (still batched) re-verification.
-  group_->reset_counters();
   for (const auto& item : retrieved) {
     ibc::BatchAccumulator per_session{*group_};
     for (const auto& sb : item.blocks) {
@@ -104,7 +105,7 @@ SimAgency::MultiUserReport SimAgency::audit_storage_multiuser(
       report.offending_sessions.push_back(item.session);
     }
   }
-  report.pairings_used += group_->counters().pairings;
+  report.pairings_used = group_->lifetime_counters().pairings - pairings_at_verify;
   return report;
 }
 

@@ -24,16 +24,31 @@ ThreadPool::ThreadPool(std::size_t threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under sleep_m_, which guards the workers' wait predicate: a worker
+    // between its predicate check and its wait would otherwise miss this
+    // notify, and join() would block forever.
+    std::lock_guard<std::mutex> lock(sleep_m_);
+    stop_.store(true, std::memory_order_release);
+  }
   sleep_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
 void ThreadPool::submit(TaskGroup& group, Task task) {
   group.pending_.fetch_add(1, std::memory_order_acq_rel);
-  // Wrap so completion is tracked no matter which lane runs it.
+  // Wrap so completion is tracked no matter which lane runs it. The latency
+  // is observed before pending_ drops, so wait() never returns ahead of it.
   Task wrapped = [this, &group, task = std::move(task)] {
-    task();
+    if (obs::Histogram* task_ms = m_task_ms_.load(std::memory_order_acquire)) {
+      const auto begin = std::chrono::steady_clock::now();
+      task();
+      const std::chrono::duration<double, std::milli> elapsed =
+          std::chrono::steady_clock::now() - begin;
+      task_ms->observe(elapsed.count());
+    } else {
+      task();
+    }
     if (group.pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(done_m_);
       done_cv_.notify_all();
@@ -45,7 +60,12 @@ void ThreadPool::submit(TaskGroup& group, Task task) {
     std::lock_guard<std::mutex> lock(queues_[lane]->m);
     queues_[lane]->tasks.push_back(std::move(wrapped));
   }
-  queued_.fetch_add(1, std::memory_order_release);
+  {
+    // Under sleep_m_, like stop_ in the destructor: a sleeping worker must
+    // not miss the notify below.
+    std::lock_guard<std::mutex> lock(sleep_m_);
+    queued_.fetch_add(1, std::memory_order_release);
+  }
   if (obs::Counter* tasks = m_tasks_.load(std::memory_order_acquire)) tasks->inc();
   if (obs::Gauge* depth = m_depth_.load(std::memory_order_acquire)) depth->add(1);
   sleep_cv_.notify_one();
@@ -77,15 +97,7 @@ bool ThreadPool::try_run_one(std::size_t self) {
   if (stolen) {
     if (obs::Counter* steals = m_steals_.load(std::memory_order_acquire)) steals->inc();
   }
-  if (obs::Histogram* task_ms = m_task_ms_.load(std::memory_order_acquire)) {
-    const auto begin = std::chrono::steady_clock::now();
-    task();
-    const std::chrono::duration<double, std::milli> elapsed =
-        std::chrono::steady_clock::now() - begin;
-    task_ms->observe(elapsed.count());
-  } else {
-    task();
-  }
+  task();
   return true;
 }
 

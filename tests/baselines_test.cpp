@@ -6,6 +6,7 @@
 #include "baselines/ecdsa.h"
 #include "baselines/rsa.h"
 #include "baselines/wang_auditing.h"
+#include "bigint/modular.h"
 #include "hash/hash_to.h"
 
 namespace seccloud::baselines {

@@ -1,5 +1,5 @@
 // Prime-field and quadratic-extension tests: field axioms as property
-// sweeps, Barrett-reduction edge cases, square roots.
+// sweeps, reduction edge cases, square roots.
 #include <gtest/gtest.h>
 
 #include "field/fp.h"

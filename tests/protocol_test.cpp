@@ -122,15 +122,14 @@ TEST_F(ProtocolTest, BatchStorageAuditDetectsAndLocatesFailures) {
 }
 
 TEST_F(ProtocolTest, BatchUsesOnePairingIndividualUsesMany) {
-  g.reset_counters();
-  (void)verify_storage_audit(g, user_key.q_id, stored, da_key,
-                             VerifierRole::kDesignatedAgency, SignatureCheckMode::kBatch);
-  const auto batch_ops = g.counters();
-  (void)verify_storage_audit(g, user_key.q_id, stored, da_key,
-                             VerifierRole::kDesignatedAgency, SignatureCheckMode::kIndividual);
-  const auto individual_ops = g.counters();
-  EXPECT_EQ(batch_ops.pairings, 1u);
-  EXPECT_EQ(individual_ops.pairings, stored.size());
+  const auto batch = verify_storage_audit(g, user_key.q_id, stored, da_key,
+                                          VerifierRole::kDesignatedAgency,
+                                          SignatureCheckMode::kBatch);
+  const auto individual = verify_storage_audit(g, user_key.q_id, stored, da_key,
+                                               VerifierRole::kDesignatedAgency,
+                                               SignatureCheckMode::kIndividual);
+  EXPECT_EQ(batch.ops.pairings, 1u);
+  EXPECT_EQ(individual.ops.pairings, stored.size());
 }
 
 TEST_F(ProtocolTest, HonestComputationAuditAccepted) {

@@ -41,6 +41,27 @@ TEST_F(SystemTest, FullFlowThroughFacade) {
   EXPECT_TRUE(report.accepted);
 }
 
+TEST_F(SystemTest, CounterResetCallerWindowSpansStoreAndAudit) {
+  // Regression: store() and audit() used to call reset_counters() on the
+  // shared group, so a caller's counters() delta across them came out wrong
+  // (or underflowed). The library now reports lifetime-counter deltas.
+  const pairing::PairingGroup& g = tiny_group();
+  const pairing::OpCounters window_start = g.counters();
+  const pairing::OpCounters lifetime_start = g.lifetime_counters();
+
+  ASSERT_TRUE(sys.cloud_server().store(user.key().q_id, upload));
+  const auto executed = sys.cloud_server().compute(user.key().q_id, task);
+  const pairing::OpCounters before_audit = g.lifetime_counters();
+  const auto report = sys.agency().audit(user, sys.cloud_server(), executed.task_id, task,
+                                         executed.commitment, /*samples=*/4, /*epoch=*/1);
+  ASSERT_TRUE(report.accepted);
+
+  const pairing::OpCounters lifetime_delta = g.lifetime_counters() - lifetime_start;
+  EXPECT_EQ(g.counters() - window_start, lifetime_delta);
+  EXPECT_GT(report.ops.pairings, 0u);
+  EXPECT_LE(report.ops.pairings, (g.lifetime_counters() - before_audit).pairings);
+}
+
 TEST_F(SystemTest, ServerRejectsTamperedUpload) {
   auto tampered = upload;
   tampered[5].block.payload[0] ^= 1;

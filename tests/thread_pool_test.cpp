@@ -86,25 +86,30 @@ TEST(ThreadPool, BoundMetricsCountEveryTask) {
   ThreadPool pool{2};
   pool.bind_metrics(registry, "pool");
 
+  // Several rounds on one pool: after every wait() the metrics must already
+  // account for each task of the round, including the last one to finish.
   constexpr std::uint64_t kTasks = 200;
-  ThreadPool::TaskGroup group;
-  std::atomic<std::uint64_t> ran{0};
-  for (std::uint64_t i = 0; i < kTasks; ++i) {
-    pool.submit(group, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait(group);
-  ASSERT_EQ(ran.load(), kTasks);
+  constexpr std::uint64_t kRounds = 5;
+  for (std::uint64_t round = 1; round <= kRounds; ++round) {
+    ThreadPool::TaskGroup group;
+    std::atomic<std::uint64_t> ran{0};
+    for (std::uint64_t i = 0; i < kTasks; ++i) {
+      pool.submit(group, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+    pool.wait(group);
+    ASSERT_EQ(ran.load(), kTasks);
 
-  const obs::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counters.at("pool.tasks"), kTasks);
-  // Every submitted task was drained, so the queue-depth gauge is back to
-  // zero; the high-water mark shows at least one task was ever queued.
-  EXPECT_EQ(snap.gauges.at("pool.queue_depth").value, 0);
-  EXPECT_GE(snap.gauges.at("pool.queue_depth").max, 1);
-  // Each task's latency was observed exactly once.
-  EXPECT_EQ(snap.histograms.at("pool.task_ms").count, kTasks);
-  // Steals are scheduling-dependent but bounded by the task count.
-  EXPECT_LE(snap.counters.at("pool.steals"), kTasks);
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    EXPECT_EQ(snap.counters.at("pool.tasks"), round * kTasks) << "round " << round;
+    // Every submitted task was drained, so the queue-depth gauge is back to
+    // zero; the high-water mark shows at least one task was ever queued.
+    EXPECT_EQ(snap.gauges.at("pool.queue_depth").value, 0) << "round " << round;
+    EXPECT_GE(snap.gauges.at("pool.queue_depth").max, 1);
+    // Each task's latency was observed exactly once.
+    EXPECT_EQ(snap.histograms.at("pool.task_ms").count, round * kTasks) << "round " << round;
+    // Steals are scheduling-dependent but bounded by the task count.
+    EXPECT_LE(snap.counters.at("pool.steals"), round * kTasks);
+  }
 }
 
 TEST(ThreadPool, UnboundPoolReportsNoMetrics) {
